@@ -14,7 +14,6 @@
 
 from repro.core.booth import (
     booth_terms,
-    booth_digits,  # deprecated alias of naf_digits; see repro.core.booth
     naf_digits,
     r4_booth_digits,
     term_count_lut,
@@ -42,7 +41,6 @@ from repro.core.dataflow import (
 
 __all__ = [
     "booth_terms",
-    "booth_digits",
     "naf_digits",
     "r4_booth_digits",
     "term_count_lut",

@@ -54,19 +54,3 @@ def raw_window_mask(out_h: int, out_w: int, axis: str = "x") -> np.ndarray:
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     return mask
-
-
-def pad_to_multiple(arr: np.ndarray, axis: int, multiple: int) -> np.ndarray:
-    """Zero-pad ``arr`` along ``axis`` up to the next multiple.
-
-    Used to model the hardware padding partial bricks/pallets with zero
-    lanes (idle lanes still occupy the cycle).
-    """
-    check_positive("multiple", multiple)
-    size = arr.shape[axis]
-    pad = (-size) % multiple
-    if pad == 0:
-        return arr
-    widths = [(0, 0)] * arr.ndim
-    widths[axis] = (0, pad)
-    return np.pad(arr, widths)

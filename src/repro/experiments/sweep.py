@@ -42,11 +42,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.arch.sim import (
@@ -62,6 +60,7 @@ from repro.cache.store import stable_digest
 from repro.compression.traffic import LayerTraffic
 from repro.experiments.common import CI_MODEL_NAMES, format_table, geomean
 from repro.utils import timing
+from repro.utils.checkpoint import JsonlCheckpoint
 from repro.utils.pool import DEFAULT_RETRY, RetryPolicy, run_tasks
 from repro.utils.rng import DEFAULT_SEED
 
@@ -78,8 +77,6 @@ __all__ = [
 #: Accelerators of the headline comparison (Fig 11/13 order).
 DEFAULT_ACCELERATORS = ("VAA", "PRA", "Diffy")
 
-#: Checkpoint file format version (bump on layout changes).
-CHECKPOINT_VERSION = 1
 
 # RetryPolicy/DEFAULT_RETRY moved to repro.utils.pool (shared with the
 # fleet shard runner); re-exported here for backward compatibility.
@@ -246,78 +243,6 @@ def _row_from_json(doc: dict) -> SweepRow:
     return SweepRow(point=SweepPoint(**doc["point"]), result=NetworkResult(**res))
 
 
-class _Checkpoint:
-    """Crash-safe JSONL checkpoint: meta header + one line per row.
-
-    Rows are appended (and flushed) as they complete, so a killed sweep
-    loses at most the row being written; a torn final line is skipped on
-    load.  The meta header carries a digest of the grid settings —
-    resuming against a checkpoint from different settings raises rather
-    than mixing incompatible rows.
-    """
-
-    def __init__(self, path: "str | os.PathLike", digest: str):
-        self.path = Path(path)
-        self.digest = digest
-
-    def _meta_line(self) -> str:
-        return json.dumps(
-            {"kind": "meta", "version": CHECKPOINT_VERSION, "digest": self.digest}
-        )
-
-    def load(self, resume: bool) -> dict[SweepPoint, SweepRow]:
-        """Completed rows from a previous run (empty unless resuming)."""
-        if not resume or not self.path.is_file():
-            # Fresh run: truncate any stale file and write the header.
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(self._meta_line() + "\n", encoding="utf-8")
-            return {}
-        done: dict[SweepPoint, SweepRow] = {}
-        meta = None
-        valid_end = 0
-        with open(self.path, "rb") as fh:
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
-                # A torn trailing line (crash mid-write) fails to parse or
-                # lacks its newline; the rows before it are intact, the torn
-                # point just gets recomputed.
-                try:
-                    doc = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    timing.count("sweep.checkpoint_torn_line")
-                    break
-                if not line.endswith(b"\n"):
-                    timing.count("sweep.checkpoint_torn_line")
-                    break
-                if doc.get("kind") == "meta":
-                    meta = doc
-                elif doc.get("kind") == "row":
-                    row = _row_from_json(doc)
-                    done[row.point] = row
-                valid_end = fh.tell()
-        if valid_end < self.path.stat().st_size:
-            # Drop the torn tail so appended rows start on a clean line.
-            with open(self.path, "rb+") as fh:
-                fh.truncate(valid_end)
-        if meta is None:
-            raise ValueError(f"checkpoint {self.path} has no meta header")
-        if meta.get("version") != CHECKPOINT_VERSION or meta.get("digest") != self.digest:
-            raise ValueError(
-                f"checkpoint {self.path} was written by a different sweep "
-                "configuration; refusing to resume (delete it or drop --resume)"
-            )
-        timing.count("sweep.checkpoint_resumed_rows", len(done))
-        return done
-
-    def append(self, row: SweepRow) -> None:
-        """Persist one completed row immediately."""
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(_row_to_json(row)) + "\n")
-            fh.flush()
-
-
 def run_sweep(
     models: Sequence[str] = CI_MODEL_NAMES,
     accelerators: Sequence[str] = DEFAULT_ACCELERATORS,
@@ -354,7 +279,7 @@ def run_sweep(
     ]
 
     done: dict[SweepPoint, SweepRow] = {}
-    ckpt: Optional[_Checkpoint] = None
+    ckpt: Optional[JsonlCheckpoint] = None
     if checkpoint is not None:
         digest = stable_digest(
             "sweep-checkpoint",
@@ -365,7 +290,15 @@ def run_sweep(
             crop,
             seed,
         )
-        ckpt = _Checkpoint(checkpoint, digest)
+        ckpt = JsonlCheckpoint(
+            checkpoint,
+            digest,
+            prefix="sweep",
+            what="sweep",
+            encode=_row_to_json,
+            decode=_row_from_json,
+            key=lambda row: row.point,
+        )
         done = ckpt.load(resume)
 
     todo = [a for a in point_args if a[0] not in done]

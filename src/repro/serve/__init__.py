@@ -5,22 +5,21 @@ the *service* level: requests, queues, batches, deadlines, and the
 latency/goodput trade-offs a production deployment of a Diffy-class
 accelerator would actually face.  See ``repro.experiments.ext_serving``
 for the headline VAA-vs-PRA-vs-Diffy comparison under identical load.
+
+One engine serves every path: the scalar event loop of
+:func:`repro.serve.fleet.shard.simulate_shard` runs each fleet node, and
+:func:`serve_workload` runs it on a single node.  The discrete-event
+simulator it replaced survives only as a reference oracle in the test
+suite (``tests/serve_oracle.py``).
 """
 
 from repro.serve import chaos, fleet
-from repro.serve.clock import VirtualClock
 from repro.serve.latency import (
     DEFAULT_ENGINES,
     ServiceTimes,
     measure_service_times,
 )
-from repro.serve.scheduler import BatchPolicy, BoundedQueue
-from repro.serve.service import (
-    InferenceService,
-    ServeConfig,
-    ServingReport,
-    serve_workload,
-)
+from repro.serve.service import ServeConfig, ServingReport, serve_workload
 from repro.serve.state import TemporalStateStore
 from repro.serve.telemetry import CalibTelemetry, ServeTelemetry
 from repro.serve.workload import (
@@ -34,13 +33,9 @@ from repro.serve.workload import (
 __all__ = [
     "chaos",
     "fleet",
-    "VirtualClock",
     "DEFAULT_ENGINES",
     "ServiceTimes",
     "measure_service_times",
-    "BatchPolicy",
-    "BoundedQueue",
-    "InferenceService",
     "ServeConfig",
     "ServingReport",
     "serve_workload",

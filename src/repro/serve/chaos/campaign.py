@@ -9,21 +9,20 @@ Resume determinism is the part that earns its keep: every cell's
 per-request fault outcomes are drawn from a ``fault_seed`` derived from
 the grid coordinate (:func:`point_fault_seed`), never from global state
 or completion order.  The JSONL checkpoint records each cell's fault
-seed next to its results, and :meth:`_Checkpoint.load` re-derives and
-cross-checks it — a resumed run either reruns the missing points with
-byte-identical fault patterns or refuses loudly, it cannot silently
-continue a grid whose fault schedule drifted (different root seed,
-renamed ladder, edited rate list).
+seed next to its results, and its row hook (:func:`_check_fault_seed`)
+re-derives and cross-checks it on load — a resumed run either reruns the
+missing points with byte-identical fault patterns or refuses loudly, it
+cannot silently continue a grid whose fault schedule drifted (different
+root seed, renamed ladder, edited rate list).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.cache.store import stable_digest
@@ -40,6 +39,7 @@ from repro.serve.workload import (
     generate_requests,
 )
 from repro.utils import timing
+from repro.utils.checkpoint import CHECKPOINT_VERSION, JsonlCheckpoint
 from repro.utils.rng import DEFAULT_SEED, derive_seed
 from repro.utils.validation import check_positive
 
@@ -52,9 +52,6 @@ __all__ = [
     "run_chaos_grid",
     "CHECKPOINT_VERSION",
 ]
-
-#: Checkpoint file format version (bump on layout changes).
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -192,80 +189,20 @@ def _cell_from_json(doc: dict) -> ChaosCell:
     return ChaosCell(**cell)
 
 
-class _Checkpoint:
-    """Crash-safe JSONL checkpoint with fault-seed verification.
+def _check_fault_seed(path, seed: int, point: ChaosPoint, cell: ChaosCell) -> None:
+    """Checkpoint row hook: a resumed cell must have run under the fault
+    seed the current grid derives for its coordinate.
 
-    Same layout contract as the sweep checkpoint (meta header pinning a
-    settings digest, one flushed line per completed cell, torn final
-    line tolerated) plus one chaos-specific guarantee: each row carries
-    the fault seed its cell ran under, and loading re-derives the seed
-    the current grid would use for that coordinate.  A mismatch raises —
-    resuming must rerun missing points under the *same* fault schedule
+    Resuming must rerun missing points under the *same* fault schedule
     the finished points saw, or the grid's cells are not comparable.
     """
-
-    def __init__(self, path: "str | os.PathLike", digest: str, seed: int):
-        self.path = Path(path)
-        self.digest = digest
-        self.seed = seed
-
-    def _meta_line(self) -> str:
-        return json.dumps(
-            {"kind": "meta", "version": CHECKPOINT_VERSION, "digest": self.digest}
+    expected = point_fault_seed(seed, point)
+    if cell.fault_seed != expected:
+        raise ValueError(
+            f"checkpoint {path} row for {point} ran under fault "
+            f"seed {cell.fault_seed}, but this grid derives "
+            f"{expected}; refusing to resume a drifted fault schedule"
         )
-
-    def load(self, resume: bool) -> "dict[ChaosPoint, ChaosCell]":
-        if not resume or not self.path.is_file():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(self._meta_line() + "\n", encoding="utf-8")
-            return {}
-        done: "dict[ChaosPoint, ChaosCell]" = {}
-        meta = None
-        valid_end = 0
-        with open(self.path, "rb") as fh:
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
-                try:
-                    doc = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    timing.count("chaos.checkpoint_torn_line")
-                    break
-                if not line.endswith(b"\n"):
-                    timing.count("chaos.checkpoint_torn_line")
-                    break
-                if doc.get("kind") == "meta":
-                    meta = doc
-                elif doc.get("kind") == "row":
-                    cell = _cell_from_json(doc)
-                    point = ChaosPoint(cell.engine, cell.ladder, cell.rate)
-                    expected = point_fault_seed(self.seed, point)
-                    if cell.fault_seed != expected:
-                        raise ValueError(
-                            f"checkpoint {self.path} row for {point} ran under fault "
-                            f"seed {cell.fault_seed}, but this grid derives "
-                            f"{expected}; refusing to resume a drifted fault schedule"
-                        )
-                    done[point] = cell
-                valid_end = fh.tell()
-        if valid_end < self.path.stat().st_size:
-            with open(self.path, "rb+") as fh:
-                fh.truncate(valid_end)
-        if meta is None:
-            raise ValueError(f"checkpoint {self.path} has no meta header")
-        if meta.get("version") != CHECKPOINT_VERSION or meta.get("digest") != self.digest:
-            raise ValueError(
-                f"checkpoint {self.path} was written by a different chaos grid "
-                "configuration; refusing to resume (delete it or drop --resume)"
-            )
-        timing.count("chaos.checkpoint_resumed_rows", len(done))
-        return done
-
-    def append(self, cell: ChaosCell) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(_cell_to_json(cell)) + "\n")
-            fh.flush()
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +237,7 @@ def run_chaos_grid(
     check_positive("duration_s", duration_s)
     points = tuple(points)
     done: "dict[ChaosPoint, ChaosCell]" = {}
-    ckpt: Optional[_Checkpoint] = None
+    ckpt: Optional[JsonlCheckpoint] = None
     if checkpoint is not None:
         digest = stable_digest(
             "chaos-checkpoint",
@@ -314,7 +251,16 @@ def run_chaos_grid(
             seed,
             len(requests),
         )
-        ckpt = _Checkpoint(checkpoint, digest, seed)
+        ckpt = JsonlCheckpoint(
+            checkpoint,
+            digest,
+            prefix="chaos",
+            what="chaos grid",
+            encode=_cell_to_json,
+            decode=_cell_from_json,
+            key=lambda cell: ChaosPoint(cell.engine, cell.ladder, cell.rate),
+            validate=functools.partial(_check_fault_seed, checkpoint, seed),
+        )
         done = ckpt.load(resume)
 
     with timing.timed("chaos.grid"):

@@ -1,7 +1,7 @@
 """Fleet-scale serving: N accelerator nodes behind a session-affinity router.
 
-One node (:mod:`repro.serve.service`) answers "what does serving look
-like on a single Diffy-class accelerator?".  This package answers the
+One node (:func:`repro.serve.service.serve_workload`) answers "what does
+serving look like on a single Diffy-class accelerator?".  This package answers the
 deployment question above it: how should a *front end* spread video
 sessions across a fleet so that per-session temporal state — the thing
 that makes a differential engine fast — actually stays where the next
@@ -12,10 +12,9 @@ The pieces:
 - :mod:`repro.serve.fleet.routing` — pluggable affinity policies
   (random, consistent hashing with virtual nodes, least-loaded,
   state-aware), all deterministic and drain-aware.
-- :mod:`repro.serve.fleet.shard` — a vectorized per-node engine that
-  reproduces :class:`repro.serve.service.InferenceService` semantics
-  exactly (greedy dispatch) while batching homogeneous events into
-  numpy steps.
+- :mod:`repro.serve.fleet.shard` — the serving engine: one scalar event
+  loop per node (admission, dynamic batching with the wait timer, state
+  pricing, chaos and calibration), shared with the single-node service.
 - :mod:`repro.serve.fleet.autoscale` — a deterministic watermark
   autoscaler driving node add/drain/remove under diurnal load.
 - :mod:`repro.serve.fleet.service` — the orchestration: one routing

@@ -9,8 +9,8 @@ substream.  The split here exploits that:
    over the time-sorted arrival stream.  All cross-node coupling lives
    here: the policy's tables, the autoscaler's windowed rate estimate,
    migration detection.  Output is a columnar substream per node.
-2. **Shard pass** — each substream runs through the vectorized shard
-   engine (:mod:`repro.serve.fleet.shard`) *independently*, so shards
+2. **Shard pass** — each substream runs through the serving engine
+   (:mod:`repro.serve.fleet.shard`) *independently*, so shards
    go to pool workers via the shared runner (:mod:`repro.utils.pool`)
    with bounded retry and serial fallback.
 3. **Merge** — per-node telemetry folds into one
@@ -93,8 +93,6 @@ class FleetConfig:
             serve_ladder(self.chaos.protection)  # fail fast on unknown ladders
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}")
-        if self.node.max_wait_s != 0.0:
-            raise ValueError("fleet nodes use greedy dispatch; node.max_wait_s must be 0")
         if self.session_ttl_s is not None:
             check_positive("session_ttl_s", self.session_ttl_s)
         if self.est_service_s is not None:
@@ -316,9 +314,15 @@ def route_requests(
 def _simulate_shard_task(
     arg: "tuple[ShardStream, ServiceTimes, ServeConfig, Optional[NodeChaos], object]",
 ) -> ShardResult:
-    """Module-level shard task (pool workers pickle it by reference)."""
+    """Module-level shard task (pool workers pickle it by reference).
+
+    Each node builds its own calibration controller from the picklable
+    spec: its decisions are pure functions of frame identity and arrival
+    time, so every node observes the identical drift.
+    """
     stream, times, node_config, chaos, calib = arg
-    return simulate_shard(stream, times, node_config, chaos=chaos, calib=calib)
+    controller = calib.build() if calib is not None else None
+    return simulate_shard(stream, times, node_config, chaos=chaos, calib=controller)
 
 
 def simulate_fleet(

@@ -1,28 +1,28 @@
-"""Vectorized per-node serving engine for the fleet simulation.
+"""The serving engine: one node's arrival stream served to quiescence.
 
-Semantically this is :class:`repro.serve.service.InferenceService` with
-greedy dispatch (``max_wait_s=0``) — same admission, shedding, batching,
-state pricing and telemetry, verified request-for-request by the
-equivalence tests.  Structurally it is rebuilt around the observation
-that a greedy-dispatch node alternates between two homogeneous regimes:
+Every serving path runs here — the single-node service
+(:func:`repro.serve.service.serve_workload` wraps a 1-node stream) and
+each node of a fleet (:mod:`repro.serve.fleet.service`).  The engine is a
+scalar event loop over four event kinds:
 
-- **idle regime** — a worker is free, the queue is empty (the service
-  invariant), and each arrival dispatches immediately as a batch of one.
-- **busy window** — all workers are busy until the earliest completion
-  at ``t_free``.  Every arrival in ``(now, t_free]`` can only be
-  admitted or shed; the queue monotonically grows.  That whole run of
-  arrivals is one ``numpy.searchsorted`` slice and one vectorized
-  telemetry update instead of per-event heap traffic.
+- **arrival** — admit to the bounded queue or shed (queue full =
+  backpressure); an admitted arrival tries to dispatch.
+- **completion** — a batch finishes (completions wait on a
+  ``(time, seq, batch)`` heap): free the worker, record each request's
+  latency and deadline outcome, try to dispatch.
+- **wait timer** — at most one, at ``arrival[oldest] + max_wait_s``
+  while a worker idles on a partial batch; firing tries to dispatch.
+- **crash** — with chaos, a down window sheds the queue, kills in-flight
+  batches and wipes the temporal state store.
 
-Completions stay discrete (each frees a worker and may dispatch), but
-their per-request bookkeeping — latencies, deadline outcomes — is done
-on array slices via :meth:`StreamingHistogram.record_values`.
-
-Determinism: the event order reproduces the virtual-clock order of the
-reference service (arrivals at a tied timestamp fire before completions,
-because the service schedules all arrivals first and the clock breaks
-ties by sequence number).  All integer telemetry is bit-identical to the
-reference; float aggregates differ only in summation order.
+Dispatch sheds expired requests (deadline policy), then, while a worker
+is idle and the batch is ready (full, or the oldest request has waited
+out ``max_wait_s``), takes up to ``max_batch`` requests, prices each
+cold/warm through the state store and occupies the worker for the
+per-batch overhead plus the request times.  ``max_wait_s=0`` is greedy
+dispatch.  Ties fire crash < arrival < completion < timer; the order and
+every float accumulation match the discrete-event reference kept in
+``tests/serve_oracle.py`` bit for bit.  The loop draws no randomness.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.state import StateStats, TemporalStateStore
 from repro.serve.telemetry import CalibTelemetry, ServeTelemetry
-from repro.serve.workload import Request
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; the controller spec
-    # is duck-typed (built via .build()) so serve never imports calib.
-    from repro.calib.recalibrate import CalibSpec
+if TYPE_CHECKING:  # pragma: no cover - typing only; serve never imports
+    # calib at runtime (the dependency points the other way).
+    from repro.calib.recalibrate import CalibrationController
 
 __all__ = ["ShardStream", "ShardResult", "simulate_shard"]
 
@@ -53,12 +52,11 @@ __all__ = ["ShardStream", "ShardResult", "simulate_shard"]
 class ShardStream:
     """The arrival substream one router pass assigned to one node.
 
-    Columnar (one array per field) so the shard engine can slice busy
-    windows without touching Python objects, and so streams pickle
-    compactly into pool workers.  ``migrated`` marks requests whose
-    session previously lived on another node (router-observed; the
-    node's state store independently confirms the cold re-anchor).
-    ``scene_cut``/``motion`` carry the per-frame video dynamics of
+    Columnar (one array per field) so streams pickle compactly into pool
+    workers.  ``migrated`` marks requests whose session previously lived
+    on another node (router-observed; the node's state store
+    independently confirms the cold re-anchor).  ``scene_cut``/``motion``
+    carry the per-frame video dynamics of
     :func:`repro.serve.workload.apply_scene_dynamics`; omitting them
     yields the static-pan defaults (no cuts, baseline motion).
     """
@@ -94,7 +92,7 @@ class ShardStream:
 
     @classmethod
     def from_requests(cls, node_id, requests, migrated=None):
-        """Build a stream from :class:`Request` objects (tests, adapters)."""
+        """Build a stream from :class:`~repro.serve.workload.Request` objects."""
         reqs = list(requests)
         flags = list(migrated) if migrated is not None else [False] * len(reqs)
         return cls(
@@ -106,18 +104,6 @@ class ShardStream:
             scene_cut=np.array([r.scene_cut for r in reqs], dtype=bool),
             motion=np.array([r.motion for r in reqs], dtype=np.float64),
         )
-
-    def requests(self) -> "list[Request]":
-        return [
-            Request(
-                session_id=int(self.session_id[i]),
-                frame_index=int(self.frame_index[i]),
-                arrival_s=float(self.arrival_s[i]),
-                scene_cut=bool(self.scene_cut[i]),
-                motion=float(self.motion[i]),
-            )
-            for i in range(len(self))
-        ]
 
 
 @dataclass
@@ -138,38 +124,37 @@ def simulate_shard(
     times: ServiceTimes,
     config: ServeConfig,
     chaos: Optional[NodeChaos] = None,
-    calib: "Optional[CalibSpec]" = None,
+    calib: "Optional[CalibrationController]" = None,
 ) -> ShardResult:
-    """Serve one node's substream to quiescence (greedy dispatch only).
+    """Serve one node's substream to quiescence.
 
     With ``chaos`` the node additionally executes its slice of the chaos
     timeline: crash windows shed the queue, kill in-flight batches and
     wipe the temporal state store; degrade windows scale batch service
     times; storage chaos resolves each warm state read to a seeded
     clean/corrected/detected/silent outcome (detected invalidates the
-    session, forcing a priced re-anchor).  Without ``chaos`` every code
-    path and float is identical to before — the fault-free goldens do
-    not move.
+    session, forcing a priced re-anchor).  Without ``chaos`` no chaos
+    path runs and the fault-free telemetry is unchanged.
 
-    With ``calib`` (a picklable :class:`repro.calib.recalibrate.CalibSpec`)
-    the node builds its own precision-calibration controller — its
-    decisions are pure functions of frame identity and arrival time, so
-    every node observes the identical drift — and runs the control loop
-    on every served frame; its counters land in the result's ``calib``
-    telemetry.  Table swaps bump the state store's calibration version,
-    so resident sessions re-anchor cold (priced as ``reanchors_recal``).
-    Without ``calib`` nothing changes.
+    With ``calib`` (a built
+    :class:`repro.calib.recalibrate.CalibrationController`) the node runs
+    the precision-calibration control loop on every served frame; its
+    counters land in the result's ``calib`` telemetry.  Table swaps bump
+    the state store's calibration version, so resident sessions
+    re-anchor cold (priced as ``reanchors_recal``).
     """
-    if config.max_wait_s != 0.0:
-        raise ValueError("the vectorized shard engine requires max_wait_s=0 (greedy dispatch)")
     n = len(stream)
-    arr = stream.arrival_s
-    sid = stream.session_id
-    fidx = stream.frame_index
-    cut = stream.scene_cut
-    motion = stream.motion
-    deadline = arr + config.deadline_s
-    telemetry = ServeTelemetry(max_batch=config.max_batch, queue_capacity=config.queue_capacity)
+    arr = stream.arrival_s.tolist()
+    sid = stream.session_id.tolist()
+    fidx = stream.frame_index.tolist()
+    cut = stream.scene_cut.tolist()
+    motion = stream.motion.tolist()
+    deadline = [t + config.deadline_s for t in arr]
+    max_batch = config.max_batch
+    capacity = config.queue_capacity
+    wait_s = config.max_wait_s
+    overhead_s = config.batch_overhead_s(times)
+    telemetry = ServeTelemetry(max_batch=max_batch, queue_capacity=capacity)
     storage = chaos.storage if chaos is not None else None
     state_bytes = times.state_bytes
     if storage is not None:
@@ -179,10 +164,7 @@ def simulate_shard(
         # charged even at fault rate zero.
         state_bytes = max(1, int(round(times.state_bytes * storage.overhead)))
     state = TemporalStateStore(config.state_capacity_bytes, state_bytes)
-    ctel = (
-        ChaosTelemetry(duration_s=chaos.duration_s) if chaos is not None else None
-    )
-    controller = calib.build() if calib is not None else None
+    ctel = ChaosTelemetry(duration_s=chaos.duration_s) if chaos is not None else None
     #: session id -> invalidation time, awaiting its next warm serve.
     recovering: "dict[int, float]" = {}
     down = list(chaos.down) if chaos is not None else []
@@ -191,17 +173,14 @@ def simulate_shard(
     idle = config.workers
     queue: "list[int]" = []  # admitted request indices, FIFO via head pointer
     head = 0
-    busy: "list[tuple[float, int, np.ndarray]]" = []  # (completion time, seq, batch)
+    busy: "list[tuple[float, int, list[int]]]" = []  # (completion time, seq, batch)
     seq = 0
     i = 0  # next arrival index
-
-    def queued() -> int:
-        return len(queue) - head
 
     def crash(at_s: float) -> None:
         """Lose the node: queue, in-flight work, and temporal state."""
         nonlocal head, idle
-        shed = queued()
+        shed = len(queue) - head
         head = len(queue)
         killed = sum(len(batch) for _, _, batch in busy)
         busy.clear()
@@ -211,115 +190,96 @@ def simulate_shard(
             recovering.setdefault(session, at_s)
         ctel.on_crash(shed, killed, len(lost))
 
-    def dispatch(now: float) -> bool:
-        """Shed expired, then dispatch one batch; False if queue drained."""
+    def dispatch(now: float) -> None:
+        """Shed expired requests, then dispatch ready batches to idle workers."""
         nonlocal head, idle, seq
-        expired = 0
-        while head < len(queue) and deadline[queue[head]] < now:
-            head += 1
-            expired += 1
-        if expired:
-            telemetry.on_deadline_shed(expired)
-        if head >= len(queue):
-            return False
-        take = min(queued(), config.max_batch)
-        batch = np.asarray(queue[head : head + take], dtype=np.int64)
-        head += take
-        # Price the batch through the state store in FIFO order.  The
-        # per-item float accumulation mirrors the reference service
-        # exactly, so busy_s stays bit-identical.
-        service_s = times.batch_overhead_s
-        if controller is not None:
-            # Complete any due measured recalibration before pricing the
-            # batch (mirrors the reference service's dispatch hook).
-            controller.advance(now, state)
-        for j in batch:
-            s, f = int(sid[j]), int(fidx[j])
-            is_cut = bool(cut[j])
-            if storage is not None and not is_cut and state.is_warm(s, f):
-                outcome = storage.outcome(s, f, now)
-                ctel.on_storage(outcome)
-                if outcome == "detected":
-                    # The ladder flagged the stored state: drop it and
-                    # re-anchor rather than serve corrupt output.
-                    state.invalidate(s)
-                    recovering.setdefault(s, now)
-            if ctel is not None:
-                before = state.stats.reanchors
-            mode = state.serve(s, f, scene_cut=is_cut)
-            service_s += times.request_s(mode, float(motion[j]))
-            if controller is not None:
-                controller.on_frame(now, s, f, float(arr[j]), state)
-            if ctel is not None:
-                warm = mode == "temporal"
-                ctel.on_serve(now, warm, state.stats.reanchors > before)
-                if warm and recovering:
-                    t0 = recovering.pop(s, None)
-                    if t0 is not None:
-                        ctel.on_recovery(now - t0)
-        if chaos is not None:
-            slowdown = chaos.slowdown_at(now)
-            if slowdown != 1.0:
-                service_s *= slowdown
-        idle -= 1
-        telemetry.on_batch(take, service_s)
-        heapq.heappush(busy, (now + service_s, seq, batch))
-        seq += 1
-        return True
+        while idle > 0:
+            expired = 0
+            while head < len(queue) and deadline[queue[head]] < now:
+                head += 1
+                expired += 1
+            if expired:
+                telemetry.on_deadline_shed(expired)
+            queued = len(queue) - head
+            # The readiness test is the wait timer's own expression, so a
+            # timer that fires at the expiry always finds the batch ready.
+            # The algebraically equal (now - oldest) >= max_wait_s is NOT
+            # safe: when (oldest + w) - oldest rounds below w the timer
+            # would fire, find the batch not ready, and re-fire forever.
+            if not queued or (queued < max_batch and now < arr[queue[head]] + wait_s):
+                return
+            batch = queue[head : head + max_batch]
+            head += len(batch)
+            service_s = overhead_s
+            if calib is not None:
+                # Complete any due measured recalibration before pricing
+                # this batch: every frame below is served entirely under
+                # one table generation (the atomic-swap guarantee).
+                calib.advance(now, state)
+            for j in batch:
+                s, f, is_cut = sid[j], fidx[j], cut[j]
+                if storage is not None and not is_cut and state.is_warm(s, f):
+                    outcome = storage.outcome(s, f, now)
+                    ctel.on_storage(outcome)
+                    if outcome == "detected":
+                        # The ladder flagged the stored state: drop it and
+                        # re-anchor rather than serve corrupt output.
+                        state.invalidate(s)
+                        recovering.setdefault(s, now)
+                if ctel is not None:
+                    before = state.stats.reanchors
+                mode = state.serve(s, f, scene_cut=is_cut)
+                service_s += times.request_s(mode, motion[j])
+                if calib is not None:
+                    calib.on_frame(now, s, f, arr[j], state)
+                if ctel is not None:
+                    warm = mode == "temporal"
+                    ctel.on_serve(now, warm, state.stats.reanchors > before)
+                    if warm and recovering:
+                        t0 = recovering.pop(s, None)
+                        if t0 is not None:
+                            ctel.on_recovery(now - t0)
+            if chaos is not None:
+                slowdown = chaos.slowdown_at(now)
+                if slowdown != 1.0:
+                    service_s *= slowdown
+            idle -= 1
+            telemetry.on_batch(len(batch), service_s)
+            heapq.heappush(busy, (now + service_s, seq, batch))
+            seq += 1
 
-    while i < n or head < len(queue) or busy:
-        t_free = busy[0][0] if busy else math.inf
+    while True:
         t_arr = arr[i] if i < n else math.inf
-        if di < len(down) and down[di][0] <= min(t_arr, t_free):
-            # The crash fires before any arrival/completion at or past
-            # its timestamp (ties break toward the crash): queued and
-            # in-flight work at the instant of the crash is lost.
+        t_done = busy[0][0] if busy else math.inf
+        # The one wait timer: armed while a worker idles on a partial batch.
+        t_wait = arr[queue[head]] + wait_s if idle and head < len(queue) else math.inf
+        t_next = min(t_arr, t_done, t_wait)
+        if di < len(down) and down[di][0] <= t_next:
+            # The crash fires before any event at or past its timestamp:
+            # queued and in-flight work at the instant of the crash is
+            # lost.  Windows past quiescence still wipe resident state, so
+            # the node's crash accounting matches its schedule slice.
             crash(down[di][0])
             di += 1
-            continue
-        if t_arr <= t_free:
-            if idle > 0:
-                # Idle regime: queue is empty (service invariant), so
-                # this arrival admits at depth 1 and dispatches at once.
+        elif t_next == math.inf:
+            break
+        elif t_arr == t_next:
+            if len(queue) - head < capacity:
                 queue.append(i)
-                telemetry.on_arrival(True, queued())
+                telemetry.on_arrival(True, len(queue) - head)
                 i += 1
-                now = t_arr
-                while idle > 0 and head < len(queue):
-                    if not dispatch(now):
-                        break
+                dispatch(t_arr)
             else:
-                # Busy window: every arrival up to t_free (inclusive —
-                # tied arrivals precede the completion, matching the
-                # virtual clock's sequence order) is admitted or shed in
-                # one vectorized step.
-                stop = int(np.searchsorted(arr, t_free, side="right")) if busy else n
-                stop = max(stop, i + 1)
-                block = stop - i
-                admit = min(config.queue_capacity - queued(), block)
-                depth0 = queued()
-                queue.extend(range(i, i + admit))
-                telemetry.on_arrival_block(
-                    np.arange(depth0 + 1, depth0 + admit + 1, dtype=np.int64),
-                    block - admit,
-                )
-                i = stop
-        else:
+                telemetry.on_arrival(False, capacity)
+                i += 1
+        elif t_done == t_next:
             now, _, batch = heapq.heappop(busy)
             idle += 1
-            latencies = now - arr[batch]
-            good = int(np.count_nonzero(now <= deadline[batch]))
-            telemetry.on_completion_block(latencies, good)
-            while idle > 0 and head < len(queue):
-                if not dispatch(now):
-                    break
-
-    # Crash windows past quiescence still wipe resident state, so the
-    # node's crash/lost-session accounting matches its schedule slice
-    # regardless of when its arrivals stop.
-    while di < len(down):
-        crash(down[di][0])
-        di += 1
+            for j in batch:
+                telemetry.on_completion(now - arr[j], now <= deadline[j])
+            dispatch(now)
+        else:
+            dispatch(t_wait)
 
     return ShardResult(
         node_id=stream.node_id,
@@ -328,5 +288,5 @@ def simulate_shard(
         routed=n,
         migrated_in=int(np.count_nonzero(stream.migrated)),
         chaos=ctel,
-        calib=controller.telemetry if controller is not None else None,
+        calib=calib.telemetry if calib is not None else None,
     )

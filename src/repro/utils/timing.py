@@ -219,32 +219,6 @@ class StreamingHistogram:
         for v in values:
             self.record(v)
 
-    def record_values(self, values) -> None:
-        """Vectorized :meth:`record` of a float array (weight 1 each).
-
-        Bin selection matches :meth:`record` sample-for-sample
-        (``searchsorted(side="right")`` is ``bisect_right``); only the
-        float accumulation order of ``total`` differs, so counts and
-        percentiles are identical to a ``record`` loop and ``mean``
-        agrees to rounding.  Imported lazily so the histogram itself
-        stays numpy-free for pure-Python consumers.
-        """
-        import numpy as np
-
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1:
-            v = v.reshape(-1)
-        if v.size == 0:
-            return
-        idx = np.searchsorted(self._edges, v, side="right") - 1
-        np.clip(idx, 0, self.bins - 1, out=idx)
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.counts[int(i)] += int(c)
-        self.n += int(v.size)
-        self.total += float(v.sum())
-        self.vmin = min(self.vmin, float(v.min()))
-        self.vmax = max(self.vmax, float(v.max()))
-
     @property
     def mean(self) -> float:
         return self.total / self.n if self.n else math.nan

@@ -1,5 +1,7 @@
 """Tests for fleet-scale serving (repro.serve.fleet.*, ext_fleet)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from repro.serve.fleet import (
     simulate_shard,
 )
 from repro.serve.latency import ServiceTimes
-from repro.serve.service import InferenceService, ServeConfig
+from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_diurnal_requests, generate_requests
+from tests.serve_oracle import InferenceService
 
 
 def _times(cold=0.05, warm=0.01, overhead=0.004, state_bytes=1000, engine="Diffy"):
@@ -56,7 +59,14 @@ def _spec(**kw):
 
 
 class TestShardEquivalence:
-    """The vectorized shard engine IS InferenceService at max_wait_s=0."""
+    """The serving engine IS the discrete-event oracle, bit for bit.
+
+    Every case runs at each batch-wait window of :attr:`WAITS`, in
+    multiples of the cold service time: greedy dispatch, a wait shorter
+    than one cold request, and one longer.
+    """
+
+    WAITS = (0.0, 0.5, 2.0)
 
     INT_COUNTERS = (
         "arrived",
@@ -70,24 +80,36 @@ class TestShardEquivalence:
         "max_queue_depth",
     )
 
+    STATE_COUNTERS = (
+        "warm",
+        "cold",
+        "insertions",
+        "evictions",
+        "reanchors_gap",
+        "reanchors_evicted",
+    )
+
     def _assert_equivalent(self, cfg, spec, times):
         reqs = generate_requests(spec)
-        ref = InferenceService(times, cfg)
-        ref.run(reqs, spec.duration_s)
-        res = simulate_shard(ShardStream.from_requests(0, reqs), times, cfg)
-        for name in self.INT_COUNTERS:
-            assert getattr(res.telemetry, name) == getattr(ref.telemetry, name), name
-        # Histogram counts are bit-identical, so percentiles are too.
-        assert res.telemetry.latency.counts == ref.telemetry.latency.counts
-        assert res.telemetry.batch_sizes.counts == ref.telemetry.batch_sizes.counts
-        assert res.telemetry.queue_depths.counts == ref.telemetry.queue_depths.counts
-        # busy_s accumulates in dispatch order in both engines: exact.
-        assert res.telemetry.busy_s == ref.telemetry.busy_s
-        # Latency totals differ only in float summation order.
-        assert res.telemetry.latency.total == pytest.approx(ref.telemetry.latency.total, rel=1e-12)
-        counters = ("warm", "cold", "insertions", "evictions", "reanchors_gap", "reanchors_evicted")
-        for name in counters:
-            assert getattr(res.state, name) == getattr(ref.state.stats, name), name
+        for factor in self.WAITS:
+            node = dataclasses.replace(cfg, max_wait_s=factor * times.cold_s)
+            ref = InferenceService(times, node)
+            ref.run(reqs, spec.duration_s)
+            res = simulate_shard(ShardStream.from_requests(0, reqs), times, node)
+            for name in self.INT_COUNTERS:
+                got, want = getattr(res.telemetry, name), getattr(ref.telemetry, name)
+                assert got == want, (factor, name)
+            # Histogram counts are bit-identical, so percentiles are too.
+            assert res.telemetry.latency.counts == ref.telemetry.latency.counts, factor
+            assert res.telemetry.batch_sizes.counts == ref.telemetry.batch_sizes.counts
+            assert res.telemetry.queue_depths.counts == ref.telemetry.queue_depths.counts
+            # Both engines add batch times in dispatch order and latencies
+            # in completion order: the float totals are exact.
+            assert res.telemetry.busy_s == ref.telemetry.busy_s, factor
+            assert res.telemetry.latency.total == ref.telemetry.latency.total, factor
+            for name in self.STATE_COUNTERS:
+                got, want = getattr(res.state, name), getattr(ref.state.stats, name)
+                assert got == want, (factor, name)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("rate", [2.0, 10.0, 40.0])
@@ -109,11 +131,6 @@ class TestShardEquivalence:
         assert res.node_id == 3
         assert res.routed == 0
         assert res.telemetry.arrived == 0
-
-    def test_rejects_wait_batching(self):
-        cfg = _node(max_wait_s=0.5)
-        with pytest.raises(ValueError, match="max_wait_s"):
-            simulate_shard(ShardStream.from_requests(0, []), _times(), cfg)
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -181,7 +198,7 @@ class TestFleetSimulation:
 
     def test_fleet_matches_single_service_at_one_node(self):
         # A 1-node fleet is exactly the single-node service (any policy
-        # collapses; the shard engine is DES-equivalent).
+        # collapses; the engine is oracle-equivalent).
         reqs = generate_requests(_spec())
         cfg = FleetConfig(nodes=1, routing="hash", node=_node())
         fleet = simulate_fleet(reqs, _times(), cfg, 10.0)
@@ -191,6 +208,33 @@ class TestFleetSimulation:
         assert fleet.metrics["good"] == report.metrics["good"]
         assert fleet.warm_served == report.warm_served
         assert fleet.migrations == 0
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_one_node_fleet_equals_serve_workload_with_wait_timer(self, factor):
+        reqs = generate_requests(_spec())
+        times = _times()
+        node = _node(max_wait_s=factor * times.cold_s)
+        fleet = simulate_fleet(reqs, times, FleetConfig(nodes=1, routing="hash", node=node), 10.0)
+        single = serve_workload(reqs, times, node, 10.0)
+        assert fleet.metrics == single.metrics
+        assert fleet.warm_served == single.warm_served
+        assert fleet.cold_served == single.cold_served
+
+    def test_fleet_prices_weight_stream(self):
+        # Regression: fleet nodes used to price every batch at the
+        # measured dense overhead, silently ignoring weight_stream_s.
+        reqs = generate_requests(_spec())
+        times = _times(overhead=0.02)
+
+        def fleet(node):
+            cfg = FleetConfig(nodes=1, routing="hash", node=node)
+            return simulate_fleet(reqs, times, cfg, 10.0)
+
+        dense = fleet(_node())
+        streamed = fleet(_node(weight_stream_s=0.0))
+        assert streamed.metrics["utilization"] < dense.metrics["utilization"]
+        single = serve_workload(reqs, times, _node(weight_stream_s=0.0), 10.0)
+        assert streamed.metrics == single.metrics
 
     def test_request_conservation(self):
         reqs = generate_requests(_spec(session_rate=25.0))
@@ -227,8 +271,6 @@ class TestFleetSimulation:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="routing"):
             FleetConfig(nodes=2, routing="round_robin")
-        with pytest.raises(ValueError, match="max_wait_s"):
-            FleetConfig(nodes=2, node=_node(max_wait_s=0.1))
         with pytest.raises(ValueError, match="nodes"):
             FleetConfig(nodes=0)
 

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve.clock import VirtualClock
 from repro.serve.latency import ServiceTimes, measure_service_times
-from repro.serve.scheduler import (
-    BatchPolicy,
-    BoundedQueue,
-    QueuedRequest,
-    batch_ready,
-    next_deadline_check,
-)
 from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.state import TemporalStateStore
 from repro.serve.workload import (
@@ -21,6 +13,13 @@ from repro.serve.workload import (
     generate_diurnal_requests,
     generate_requests,
     offered_rps,
+)
+from tests.serve_oracle import (
+    BoundedQueue,
+    QueuedRequest,
+    VirtualClock,
+    batch_ready,
+    next_deadline_check,
 )
 
 
@@ -342,7 +341,7 @@ class TestSchedulerPolicies:
         assert len(queue) == 1
 
     def test_batch_ready_full_batch_or_wait_expiry(self):
-        policy = BatchPolicy(max_batch=2, max_wait_s=1.0)
+        policy = ServeConfig(max_batch=2, max_wait_s=1.0)
         queue = BoundedQueue(4)
         assert not batch_ready(queue, policy, now=0.0)
         queue.offer(_queued(0.0))
@@ -352,7 +351,7 @@ class TestSchedulerPolicies:
         assert batch_ready(queue, policy, now=0.95)  # full batch
 
     def test_next_deadline_check(self):
-        policy = BatchPolicy(max_batch=2, max_wait_s=1.5)
+        policy = ServeConfig(max_batch=2, max_wait_s=1.5)
         queue = BoundedQueue(4)
         assert next_deadline_check(queue, policy) is None
         queue.offer(_queued(2.0))
@@ -547,7 +546,7 @@ class TestWaitTimerFloatSafety:
         for oldest in (8.523686563597381, 0.1, 1.1, 3.3, 7.7, 123.456):
             for w in (0.35925007211451513, 0.1, 0.2, 0.3, 0.7):
                 if (oldest + w) - oldest < w:
-                    policy = BatchPolicy(max_batch=4, max_wait_s=w)
+                    policy = ServeConfig(max_batch=4, max_wait_s=w)
                     queue = BoundedQueue(4)
                     queue.offer(_queued(oldest))
                     expiry = next_deadline_check(queue, policy)

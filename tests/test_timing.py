@@ -159,37 +159,6 @@ class TestStreamingHistogram:
         # The mean's float sum is association-sensitive: equal to 1 ulp.
         assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
 
-    def test_record_values_matches_record_loop(self):
-        import numpy as np
-
-        rng = np.random.default_rng(23)
-        samples = rng.exponential(0.2, size=2000)
-        # Include exact edge values: searchsorted side="right" must agree
-        # with bisect_right at bin boundaries.
-        looped = timing.StreamingHistogram(1e-4, 1e3, 288, log=True)
-        samples = np.concatenate([samples, np.array(looped._edges[:5])])
-        looped = timing.StreamingHistogram(1e-4, 1e3, 288, log=True)
-        vectorized = timing.StreamingHistogram(1e-4, 1e3, 288, log=True)
-        for v in samples:
-            looped.record(float(v))
-        vectorized.record_values(samples)
-        assert vectorized.counts == looped.counts
-        assert vectorized.n == looped.n
-        assert vectorized.vmin == looped.vmin
-        assert vectorized.vmax == looped.vmax
-        for q in (50, 95, 99):
-            assert vectorized.percentile(q) == looped.percentile(q)
-        assert vectorized.mean == pytest.approx(looped.mean, rel=1e-12)
-
-    def test_record_values_empty_and_shape(self):
-        import numpy as np
-
-        hist = timing.StreamingHistogram(0.0, 10.0, 10)
-        hist.record_values(np.array([]))
-        assert hist.n == 0
-        hist.record_values(np.array([[1.0, 2.0], [3.0, 4.0]]))  # reshaped to 1-D
-        assert hist.n == 4
-
     def test_merge_rejects_different_binning(self):
         a = timing.StreamingHistogram(0.0, 1.0, 4)
         b = timing.StreamingHistogram(0.0, 1.0, 8)
