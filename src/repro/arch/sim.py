@@ -19,7 +19,7 @@ combination, :func:`simulate_network`:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from repro.compression.traffic import LayerTraffic, network_traffic
 from repro.data.datasets import dataset
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
+from repro.nn.memo import memoized
 from repro.nn.shapes import conv_layer_shapes
 from repro.nn.trace import ActivationTrace
 from repro.utils import timing
@@ -229,11 +230,30 @@ def model_for(
     )
 
 
+def _model_key(model) -> tuple:
+    """A cycle model's memo identity: its class and every constructor parameter.
+
+    The models keep each constructor argument as an attribute (config,
+    axis, VP threshold/recovery/enabled, SCNN sparsity/seed), so two
+    models with equal attributes price every layer identically.
+    """
+    return (type(model), *sorted(vars(model).items()))
+
+
 def _mean_layer_cycles(
     model, traces: Sequence[ActivationTrace]
 ) -> list[LayerCycles]:
-    """Per-layer cycle records averaged over traces."""
-    per_trace = [[model.layer_cycles(layer) for layer in t] for t in traces]
+    """Per-layer cycle records averaged over traces.
+
+    Each ``model.layer_cycles(layer)`` is memoized on the layer, so a sweep
+    prices a (layer, model parameters) pair once however many scheme and
+    memory cells reuse it.
+    """
+    key = ("cycles", *_model_key(model))
+    per_trace = [
+        [memoized(layer, key, partial(model.layer_cycles, layer)) for layer in t]
+        for t in traces
+    ]
     out = []
     for i in range(len(per_trace[0])):
         records = [pt[i] for pt in per_trace]
@@ -287,11 +307,13 @@ def _simulate_network(
     with timing.timed("sim.layer_cycles"):
         cycle_records = _mean_layer_cycles(model, traces)
     shapes = conv_layer_shapes(net, *resolution)
-    precisions = imap_precisions(traces)
-    omap_precs = omap_precisions(traces)
-    traffic = network_traffic(
-        net, traces, scheme, resolution[0], resolution[1], precisions, omap_precs
-    )
+    with timing.timed("sim.precisions"):
+        precisions = imap_precisions(traces)
+        omap_precs = omap_precisions(traces)
+    with timing.timed("sim.traffic"):
+        traffic = network_traffic(
+            net, traces, scheme, resolution[0], resolution[1], precisions, omap_precs
+        )
 
     layers = []
     for record, shape, lt in zip(cycle_records, shapes, traffic):

@@ -25,9 +25,10 @@ import numpy as np
 
 from repro.compression.schemes import CompressionScheme, scheme as get_scheme
 from repro.core.precision import profiled_precision, profiled_precision_tolerant
+from repro.nn.memo import memoized
 from repro.nn.network import Network
 from repro.nn.shapes import conv_layer_shapes
-from repro.nn.trace import ActivationTrace
+from repro.nn.trace import ActivationTrace, ConvLayerTrace
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,34 @@ def _check_traces(traces: Sequence[ActivationTrace]) -> int:
     return n
 
 
+def _value_range(layer: ConvLayerTrace, which: str) -> "tuple[int, int]":
+    """``(min, max)`` of the layer's imap or omap (memoized on the layer)."""
+
+    def compute() -> "tuple[int, int]":
+        fmap = getattr(layer, which)
+        return int(fmap.min()), int(fmap.max())
+
+    return memoized(layer, ("range", which), compute)
+
+
+def _map_precisions(
+    traces: Sequence[ActivationTrace], which: str, exact: bool
+) -> list[int]:
+    n = _check_traces(traces)
+    out = []
+    for i in range(n):
+        if exact:
+            # An exact profiled precision depends only on each map's range.
+            fmaps = [_value_range(t[i], which) for t in traces]
+            signed = any(lo < 0 for lo, _ in fmaps)
+            out.append(profiled_precision(fmaps, signed=signed))
+        else:
+            fmaps = [getattr(t[i], which) for t in traces]
+            signed = any(m.min() < 0 for m in fmaps)
+            out.append(profiled_precision_tolerant(fmaps, signed=signed))
+    return out
+
+
 def imap_precisions(
     traces: Sequence[ActivationTrace], exact: bool = True
 ) -> list[int]:
@@ -66,30 +95,14 @@ def imap_precisions(
     lossless dynamic schemes it is compared against); ``exact=False``
     applies the accuracy-tolerant criterion of Judd et al. [3] instead.
     """
-    n = _check_traces(traces)
-    profiler = profiled_precision if exact else profiled_precision_tolerant
-    return [
-        profiler(
-            (t[i].imap for t in traces),
-            signed=any(t[i].imap.min() < 0 for t in traces),
-        )
-        for i in range(n)
-    ]
+    return _map_precisions(traces, "imap", exact)
 
 
 def omap_precisions(
     traces: Sequence[ActivationTrace], exact: bool = True
 ) -> list[int]:
     """Profiled per-layer omap precisions over the traces."""
-    n = _check_traces(traces)
-    profiler = profiled_precision if exact else profiled_precision_tolerant
-    return [
-        profiler(
-            (t[i].omap for t in traces),
-            signed=any(t[i].omap.min() < 0 for t in traces),
-        )
-        for i in range(n)
-    ]
+    return _map_precisions(traces, "omap", exact)
 
 
 def layer_bits_per_value(
