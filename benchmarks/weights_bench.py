@@ -10,9 +10,11 @@ guards the subsystem's contract, exiting non-zero if any gate fails:
 2. **Compaction** — the MSR4W stream must be strictly smaller than the
    Raw8W stream for every model (and therefore far below the dense
    Raw16W baseline every ladder charges).
-3. **Backend byte-identity** — the reference and vectorized codecs must
-   emit identical bytes and decode losslessly on each model's largest
-   layer; a divergence here poisons every golden downstream.
+3. **Backend byte-identity** — the reference oracle
+   (``tests/codec_oracle.py``) and the production codec must emit
+   identical bytes, and the production codec must decode losslessly, on
+   each model's largest layer; a divergence here poisons every golden
+   downstream.
 
 Results land in ``BENCH_weights.json``.
 
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np  # noqa: E402
 
@@ -41,6 +43,7 @@ from repro.weights import (  # noqa: E402
     network_int8_weights,
     network_weight_bits,
 )
+from tests.codec_oracle import both_paths  # noqa: E402
 
 #: Every model's calibrated INT8 weights must keep at least this
 #: fraction inside the MSR-4 in-band range.  Measured: DnCNN 0.9999,
@@ -53,19 +56,9 @@ BENCH_FULL_MODELS = ("DnCNN", "IRCNN", "FFDNet")
 
 
 def _backend_identity(int_weights: np.ndarray, codec: MSRCodec) -> dict:
-    """Encode under both backends; return sizes and the identity verdict."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    streams = {}
-    try:
-        for name in ("reference", "vectorized"):
-            os.environ["REPRO_CODEC_BACKEND"] = name
-            streams[name] = codec.encode(int_weights)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-    ref, vec = streams["reference"], streams["vectorized"]
+    """Encode on the oracle and the production codec; return sizes and
+    the identity verdict."""
+    ref, vec = both_paths(lambda: codec.encode(int_weights))
     return {
         "identical": ref.data == vec.data and ref.bits == vec.bits,
         "roundtrip_ok": bool(np.array_equal(codec.decode(vec), int_weights)),

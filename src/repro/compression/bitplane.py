@@ -1,11 +1,10 @@
-"""Vectorized bit-plane backend for the bitstream codecs.
+"""Bit-plane implementation of the bitstream codecs' wire formats.
 
-The reference codecs in :mod:`repro.compression.codec` pack and unpack
-one value at a time through Python-level ``BitWriter``/``BitReader``
-loops — correct, legible, and the wall-clock floor under every sweep,
-fault campaign, and serving run that touches a packed stream.  This
-module implements the same wire formats as whole-array numpy bit-plane
-operations:
+Packing and unpacking one value at a time through Python-level bit
+loops is correct and legible, but it would be the wall-clock floor under
+every sweep, fault campaign and serving run that touches a packed
+stream.  This module implements the wire formats as whole-array numpy
+bit-plane operations:
 
 - **encode** computes every group width at once (:func:`group_precisions`
   is already vectorized), lays out per-group bit offsets with one
@@ -22,15 +21,14 @@ operations:
   class reduces to one masked XOR-reduction over the already-materialized
   value bit planes.
 
-Every function here is property-tested byte-identical to the reference
-path — same bytes out of encode, same values/flags/exceptions out of
-decode, including lenient decodes of corrupted and truncated streams
-(the contract :mod:`repro.faults` and :mod:`repro.protect` rely on).
+Every function here is property-tested byte-identical to the
+value-at-a-time reference oracle in ``tests/codec_oracle.py`` — same
+bytes out of encode, same values/flags/exceptions out of decode,
+including lenient decodes of corrupted and truncated streams (the
+contract :mod:`repro.faults` and :mod:`repro.protect` rely on).
 
-This module is the low-level backend; callers go through the
-:class:`~repro.compression.codec.GroupCodec` /
-:class:`~repro.compression.codec.RLEZeroCodec` APIs, which select the
-backend via ``REPRO_CODEC_BACKEND``.
+Callers go through the :class:`~repro.compression.codec.GroupCodec` /
+:class:`~repro.compression.codec.RLEZeroCodec` APIs.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from repro.core.precision import HEADER_BITS, group_precisions
 __all__ = [
     "CHECKSUM_BITS",
     "CRC8_POLY",
-    "crc8_table",
     "crc8_contrib",
     "group_encode",
     "group_decode_flagged",
@@ -74,18 +71,6 @@ _INDEX_BUDGET = 1 << 22
 def _crc8_shift(crc: int) -> int:
     """Advance the CRC-8 register by one zero input bit."""
     return ((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-
-
-@lru_cache(maxsize=None)
-def crc8_table() -> "tuple[int, ...]":
-    """The 256-entry byte-wise CRC-8 LUT: ``crc' = table[crc ^ byte]``."""
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = _crc8_shift(crc)
-        table.append(crc)
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +131,9 @@ def group_encode(
 ) -> "tuple[bytes, int]":
     """Pack a validated flat int64 stream; returns ``(data, bits)``.
 
-    Byte-identical to the reference ``BitWriter`` path: 4-bit ``width-1``
-    header per group, ``group_size`` values at that width (two's
-    complement when signed), optional CRC-8 of each group's header+payload
-    bits, zero padding to a whole byte.
+    Layout: 4-bit ``width-1`` header per group, ``group_size`` values at
+    that width (two's complement when signed), optional CRC-8 of each
+    group's header+payload bits, zero padding to a whole byte.
     """
     enc = group_precisions(flat, group_size, signed=signed)
     widths = np.asarray(enc.precisions, dtype=np.int64)
@@ -216,10 +200,9 @@ def group_decode_flagged(
     strict: bool,
     suspect_bits: "Sequence[tuple[int, int]]" = (),
 ) -> "tuple[np.ndarray, tuple[int, ...]]":
-    """Vectorized twin of ``GroupCodec.decode_flagged`` (post-validation).
+    """The decode behind ``GroupCodec.decode_flagged`` (post-validation).
 
-    Replicates the reference decoder exactly, including its lenient-mode
-    contract on corrupted streams: reads succeed anywhere inside the
+    Lenient-mode contract on corrupted streams: reads succeed anywhere inside the
     physical byte buffer (padding bits included), exhaustion keeps a
     partial group's values only without checksums, rejected groups
     zero-fill, and a desynchronized stream flags its whole tail while
@@ -360,7 +343,7 @@ def group_decode_flagged(
 def rlez_encode(flat: np.ndarray) -> "tuple[bytes, int]":
     """Pack a validated flat int64 stream into (skip, value) tokens.
 
-    Byte-identical to the reference path: a nonzero value preceded by
+    A nonzero value preceded by
     ``z`` zeros emits ``z // 16`` escape tokens (skip 15, stored zero)
     then ``(z % 16, value)``; trailing zeros emit escape tokens whose
     last carries the remainder.
@@ -399,7 +382,7 @@ def rlez_encode(flat: np.ndarray) -> "tuple[bytes, int]":
 def rlez_decode(
     data: bytes, stream_bits: int, values: int, strict: bool
 ) -> np.ndarray:
-    """Vectorized twin of ``RLEZeroCodec.decode`` (post-validation)."""
+    """The decode behind ``RLEZeroCodec.decode`` (post-validation)."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     phys = bits.size
     attempted = -(-stream_bits // RLE_TOKEN_BITS)

@@ -25,7 +25,7 @@ the re-anchor spike when a node's state dies and the warm-fraction
 climb as sessions re-anchor and go warm again.
 
 All cells are byte-deterministic across cold runs, worker counts, and
-codec backends, so the experiment carries ci/full goldens.
+the codec reference oracle, so the experiment carries ci/full goldens.
 """
 
 from __future__ import annotations

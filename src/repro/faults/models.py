@@ -1,8 +1,8 @@
 """Deterministic fault models over bit streams.
 
 Every model operates on a *bit array* — a flat ``uint8`` vector of 0/1
-values, MSB-first, matching the order :class:`repro.compression.codec.BitWriter`
-emits.  Fault *events* are selected by an independent Bernoulli draw per
+values, MSB-first, matching the order the bitstream codecs
+(:mod:`repro.compression.bitplane`) pack.  Fault *events* are selected by an independent Bernoulli draw per
 bit at the configured rate (the standard soft-error abstraction: a raw
 bit-error rate per stored bit), and each model defines what one event does
 to the stream:

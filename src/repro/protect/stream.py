@@ -31,8 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.compression.bitplane import pack_payload, unpack_payload
-from repro.compression.codec import CHECKSUM_BITS, Encoded, GroupCodec
+from repro.compression.bitplane import CHECKSUM_BITS, pack_payload, unpack_payload
+from repro.compression.codec import Encoded, GroupCodec
 from repro.compression.schemes import planar_order
 from repro.core.differential import (
     keyframe_anchor_mask,

@@ -204,8 +204,8 @@ def price_ladder(
 
     Pure function of its arguments (map, faults, and recovery are all
     seeded), so the result is disk-cached like the service times; the
-    probabilities are byte-identical on both codec backends because the
-    protection stack itself is.
+    probabilities are byte-identical on the codec reference oracle because
+    the protection stack itself is.
     """
     policy = serve_ladder(ladder)
     fault_model(fault_model_name)  # fail fast on unknown names

@@ -1,13 +1,13 @@
 """Tests for the shared cycle-counting machinery."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import DIFFY_CONFIG, AcceleratorConfig
 from repro.arch.cycles import (
-    _lane_term_totals_loops,
-    _step_term_maxima_loops,
     filter_passes,
     geometry_occupancies,
     lane_term_totals,
@@ -184,6 +184,75 @@ geometries = st.tuples(
     st.sampled_from([4, 16]),                 # brick
     st.integers(min_value=0, max_value=2**32 - 1),  # term-map seed
 )
+
+
+def _window_slice(
+    arr: np.ndarray,
+    fy: int,
+    fx: int,
+    stride: int,
+    dilation: int,
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """The (..., out_h, out_w) view of tap (fy, fx) across all windows."""
+    return arr[
+        ...,
+        fy * dilation : fy * dilation + (out_h - 1) * stride + 1 : stride,
+        fx * dilation : fx * dilation + (out_w - 1) * stride + 1 : stride,
+    ]
+
+
+def _step_term_maxima_loops(
+    term_map: np.ndarray,
+    kernel: int,
+    stride: int,
+    dilation: int,
+    out_h: int,
+    out_w: int,
+    brick: int,
+) -> tuple[np.ndarray, int]:
+    """Reference loop implementation of :func:`step_term_maxima`: the
+    executable spec the strided-view kernel is property-tested against."""
+    c = term_map.shape[0]
+    bricks = math.ceil(c / brick)
+    steps = bricks * kernel * kernel
+    maxima = np.empty((steps, out_h, out_w), dtype=np.int64)
+    total_terms = 0
+    s = 0
+    for cb in range(bricks):
+        sub = term_map[cb * brick : (cb + 1) * brick]
+        for fy in range(kernel):
+            for fx in range(kernel):
+                sl = _window_slice(sub, fy, fx, stride, dilation, out_h, out_w)
+                maxima[s] = sl.max(axis=0)
+                total_terms += int(sl.sum())
+                s += 1
+    return maxima, total_terms
+
+
+def _lane_term_totals_loops(
+    term_map: np.ndarray,
+    kernel: int,
+    stride: int,
+    dilation: int,
+    out_h: int,
+    out_w: int,
+    brick: int,
+) -> tuple[np.ndarray, int]:
+    """Reference loop implementation of :func:`lane_term_totals`."""
+    c = term_map.shape[0]
+    bricks = math.ceil(c / brick)
+    pad = bricks * brick - c
+    arr = term_map
+    if pad:
+        arr = np.pad(term_map, ((0, pad), (0, 0), (0, 0)))
+    folded = arr.reshape(bricks, brick, arr.shape[1], arr.shape[2]).sum(axis=0)
+    totals = np.zeros((brick, out_h, out_w), dtype=np.int64)
+    for fy in range(kernel):
+        for fx in range(kernel):
+            totals += _window_slice(folded, fy, fx, stride, dilation, out_h, out_w)
+    return totals, int(totals.sum())
 
 
 def _random_term_map(seed, c, h, w):

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import (
-    CHECKSUM_BITS,
-    BitReader,
-    BitWriter,
-    GroupCodec,
-    RLEZeroCodec,
-)
+from repro.compression.bitplane import CHECKSUM_BITS
+from repro.compression.codec import GroupCodec, RLEZeroCodec
 from repro.compression.schemes import RLEZero
 from repro.core.deltas import spatial_deltas
 from repro.core.precision import group_precisions
+from tests.codec_oracle import BitReader, BitWriter
 
 
 class TestBitIO:

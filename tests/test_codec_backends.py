@@ -1,54 +1,38 @@
-"""Backend-identity tests: the vectorized codec must be byte-identical
-to the reference path on every stream, flag, and failure it produces."""
-
-import contextlib
-import os
+"""Oracle-identity tests: the bit-plane codecs must be byte-identical
+to the value-at-a-time reference oracle (``tests/codec_oracle.py``) on
+every stream, flag, and failure they produce."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import term_maps
-from repro.compression.bitplane import crc8_table
+from repro.cache import clear_memory_caches
+from repro.compression.bitplane import crc8_contrib
 from repro.compression.codec import (
-    CODEC_BACKENDS,
-    DEFAULT_CODEC_BACKEND,
     GroupCodec,
     RLEZeroCodec,
-    _crc8_bits_bitwise,
-    active_codec_backend,
     codec_stats,
-    crc8_bits,
     reset_codec_stats,
 )
+from repro.experiments.profiles import CI_PROFILE
 from repro.faults.inject import inject_encoded
 from repro.faults.models import BitFlip
 from repro.protect.policy import ProtectionPolicy
 from repro.protect.stream import read_protected, store_protected
+from repro.regression.cli import _document
+from repro.regression.goldens import golden_path
+from repro.regression.serialize import canonical_dumps
+from tests.codec_oracle import both_paths, crc8_bits, reference_codecs
 
 
-@contextlib.contextmanager
-def backend(name):
-    """Pin ``REPRO_CODEC_BACKEND`` for the block (hypothesis-safe: no
-    function-scoped fixture, restores the prior value on exit)."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    os.environ["REPRO_CODEC_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-
-
-def both_backends(fn):
-    """Run ``fn()`` under each backend and return the two results."""
-    results = []
-    for name in CODEC_BACKENDS:
-        with backend(name):
-            results.append(fn())
-    return results
+def contrib_crc8(bits) -> int:
+    """CRC-8 as the production codecs compute it: the XOR of the
+    per-position contributions of the message's set bits."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    if not arr.size:
+        return 0
+    return int(np.bitwise_xor.reduce(arr * crc8_contrib(arr.size)))
 
 
 def _outcome(fn):
@@ -76,10 +60,10 @@ class TestGroupCodecIdentity:
     def test_signed_streams_byte_identical(self, values, group, checksum):
         codec = GroupCodec(group_size=group, signed=True, checksum=checksum)
         arr = np.array(values, dtype=np.int64)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref, vec = both_paths(lambda: codec.encode(arr))
         assert ref.data == vec.data
         assert (ref.bits, ref.values) == (vec.bits, vec.values)
-        dec_ref, dec_vec = both_backends(lambda: codec.decode_flagged(ref))
+        dec_ref, dec_vec = both_paths(lambda: codec.decode_flagged(ref))
         assert np.array_equal(dec_ref[0], dec_vec[0])
         assert dec_ref[1] == dec_vec[1]
 
@@ -88,9 +72,9 @@ class TestGroupCodecIdentity:
     def test_unsigned_streams_byte_identical(self, values, group):
         codec = GroupCodec(group_size=group, signed=False)
         arr = np.array(values, dtype=np.int64)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref, vec = both_paths(lambda: codec.encode(arr))
         assert ref.data == vec.data
-        dec_ref, dec_vec = both_backends(lambda: codec.decode(ref))
+        dec_ref, dec_vec = both_paths(lambda: codec.decode(ref))
         assert np.array_equal(dec_ref, dec_vec)
 
     @given(
@@ -122,7 +106,7 @@ class TestGroupCodecIdentity:
             values=encoded.values,
         )
         suspect_bits = tuple((lo, lo + span) for lo, span in suspect)
-        outcomes = both_backends(
+        outcomes = both_paths(
             lambda: _outcome(
                 lambda: codec.decode_flagged(
                     corrupt, strict=strict, suspect_bits=suspect_bits
@@ -144,10 +128,10 @@ class TestRLEZeroIdentity:
     def test_streams_byte_identical(self, values):
         codec = RLEZeroCodec()
         arr = np.array(values, dtype=np.int64)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref, vec = both_paths(lambda: codec.encode(arr))
         assert ref.data == vec.data
         assert (ref.bits, ref.values) == (vec.bits, vec.values)
-        dec_ref, dec_vec = both_backends(lambda: codec.decode(ref))
+        dec_ref, dec_vec = both_paths(lambda: codec.decode(ref))
         assert np.array_equal(dec_ref, dec_vec)
 
     @given(
@@ -166,7 +150,7 @@ class TestRLEZeroIdentity:
             bits=encoded.bits,
             values=encoded.values,
         )
-        outcomes = both_backends(
+        outcomes = both_paths(
             lambda: _outcome(lambda: codec.decode(truncated, strict=strict))
         )
         (kind_ref, res_ref), (kind_vec, res_vec) = outcomes
@@ -181,48 +165,33 @@ class TestCRC8:
     @given(bits=st.lists(st.integers(0, 1), max_size=400))
     @settings(max_examples=100, deadline=None)
     def test_table_driven_matches_bitwise(self, bits):
-        assert crc8_bits(bits) == _crc8_bits_bitwise(bits)
+        assert contrib_crc8(bits) == crc8_bits(bits)
 
     def test_table_is_the_shift_register(self):
-        table = crc8_table()
-        assert len(table) == 256
-        assert table[0] == 0
-        # One-byte message: LUT pass must equal eight bitwise steps.
-        assert crc8_bits([1, 0, 1, 1, 0, 0, 1, 0]) == table[0b10110010]
+        # Entry i of the contribution table is the CRC of the one-hot
+        # message with bit i set: lengths around a byte boundary, a
+        # width-4 group (4 + 16*4 bits) and a full-width one (4 + 16*16).
+        for length in (1, 7, 8, 9, 68, 260):
+            contrib = crc8_contrib(length)
+            assert len(contrib) == length
+            for i in range(length):
+                one_hot = [0] * length
+                one_hot[i] = 1
+                assert int(contrib[i]) == crc8_bits(one_hot)
 
 
-class TestBackendSelection:
-    def test_default_backend(self):
-        with backend(""):
-            # Empty value falls back to the default rather than erroring.
-            os.environ.pop("REPRO_CODEC_BACKEND")
-            assert active_codec_backend() == DEFAULT_CODEC_BACKEND
-
-    def test_unknown_backend_raises_at_first_use(self):
-        codec = GroupCodec(group_size=16, signed=True)
-        encoded = codec.encode(np.arange(8))
-        with backend("turbo"):
-            with pytest.raises(ValueError, match="REPRO_CODEC_BACKEND"):
-                codec.encode(np.arange(8))
-            with pytest.raises(ValueError, match="turbo"):
-                codec.decode(encoded)
-
-    def test_stats_report_backend_and_counters(self):
+class TestCodecStats:
+    def test_stats_report_counters(self):
         reset_codec_stats()
         codec = GroupCodec(group_size=16, signed=True)
         arr = np.arange(-16, 16)
-        with backend("vectorized"):
-            codec.decode(codec.encode(arr))
-            stats = codec_stats()
-            assert stats.backend == "vectorized"
-        with backend("reference"):
+        codec.decode(codec.encode(arr))
+        with reference_codecs() as calls:
             codec.encode(arr)
-            stats = codec_stats()
-            assert stats.backend == "reference"
+        assert (calls.encodes, calls.decodes) == (1, 0)
+        stats = codec_stats()
         assert stats.encodes == 2
         assert stats.decodes == 1
-        assert stats.vectorized_calls == 2
-        assert stats.reference_calls == 1
         assert stats.decoded_values == arr.size
         reset_codec_stats()
         assert codec_stats().encodes == 0
@@ -259,7 +228,7 @@ class TestLowering:
 
 class TestDownstreamIdentity:
     """The fault injector and protection ladder must behave identically on
-    streams from either backend."""
+    the oracle and on the production codecs."""
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -276,7 +245,7 @@ class TestDownstreamIdentity:
             decoded, flagged = codec.decode_flagged(hit, strict=False)
             return hit.data, faults, decoded, flagged
 
-        ref, vec = both_backends(run)
+        ref, vec = both_paths(run)
         assert ref[0] == vec[0]
         assert ref[1] == vec[1]
         assert np.array_equal(ref[2], vec[2])
@@ -300,7 +269,32 @@ class TestDownstreamIdentity:
             out, report = read_protected(pmap)
             return pmap.stream.data, out, report.flagged_mask.copy()
 
-        ref, vec = both_backends(run)
+        ref, vec = both_paths(run)
         assert ref[0] == vec[0]
         assert np.array_equal(ref[1], vec[1])
         assert np.array_equal(ref[2], vec[2])
+
+
+#: The ci goldens whose experiments run a codec; the other goldens make
+#: no codec call, so the oracle cannot change them.
+CODEC_GOLDENS = ("ext_faults", "ext_protection", "ext_chaos", "ext_weights")
+
+
+class TestGoldensOnOracle:
+    """End to end: every codec-using ci golden, recomputed with the oracle
+    serving every encode and decode, is byte-identical to the committed
+    golden."""
+
+    @pytest.mark.parametrize("exp_id", CODEC_GOLDENS)
+    def test_ci_golden_byte_identical(self, exp_id, tmp_path, monkeypatch):
+        # Cold caches: a cached artifact (ext_chaos's fault ladder, for
+        # one) would otherwise skip the codec calls this test is about.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_memory_caches()
+        try:
+            with reference_codecs() as calls:
+                text = canonical_dumps(_document(exp_id, CI_PROFILE))
+        finally:
+            clear_memory_caches()
+        assert calls.encodes > 0 and calls.decodes > 0, calls
+        assert text == golden_path(exp_id, CI_PROFILE.name).read_text(encoding="utf-8")

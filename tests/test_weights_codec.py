@@ -1,44 +1,15 @@
-"""MSR weight-codec property suite: byte-identity across both backends,
-random widths and compensation densities, and corruption/truncation
-lenient-decode flags matching the activation codecs' semantics."""
-
-import contextlib
-import os
+"""MSR weight-codec property suite: byte-identity with the reference
+oracle (``tests/codec_oracle.py``), random widths and compensation
+densities, and corruption/truncation lenient-decode flags matching the
+activation codecs' semantics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import (
-    CODEC_BACKENDS,
-    codec_stats,
-    reset_codec_stats,
-)
+from repro.compression.codec import codec_stats, reset_codec_stats
 from repro.weights import MSRCodec
-
-
-@contextlib.contextmanager
-def backend(name):
-    """Pin ``REPRO_CODEC_BACKEND`` for the block (hypothesis-safe: no
-    function-scoped fixture, restores the prior value on exit)."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    os.environ["REPRO_CODEC_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-
-
-def both_backends(fn):
-    """Run ``fn()`` under each backend and return the two results."""
-    results = []
-    for name in CODEC_BACKENDS:
-        with backend(name):
-            results.append(fn())
-    return results
+from tests.codec_oracle import both_paths
 
 
 def _outcome(fn):
@@ -89,11 +60,11 @@ class TestMSRRoundtrip:
     def test_streams_byte_identical_and_roundtrip(self, stream, checksum):
         bits, max_msr, column_size, arr = stream
         codec = MSRCodec(bits, max_msr, column_size, checksum=checksum)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref, vec = both_paths(lambda: codec.encode(arr))
         assert ref.data == vec.data
         assert (ref.bits, ref.values) == (vec.bits, vec.values)
         assert ref.bits == codec.encoded_bits(arr)
-        dec_ref, dec_vec = both_backends(lambda: codec.decode_flagged(ref))
+        dec_ref, dec_vec = both_paths(lambda: codec.decode_flagged(ref))
         assert np.array_equal(dec_ref[0], arr)
         assert np.array_equal(dec_vec[0], arr)
         assert dec_ref[1] == dec_vec[1] == ()
@@ -157,7 +128,7 @@ class TestMSRCorruption:
             values=encoded.values,
         )
         suspect_bits = tuple((lo, lo + span) for lo, span in suspect)
-        outcomes = both_backends(
+        outcomes = both_paths(
             lambda: _outcome(
                 lambda: codec.decode_flagged(
                     corrupt, strict=strict, suspect_bits=suspect_bits
@@ -185,7 +156,7 @@ class TestMSRCorruption:
                 codec.decode(corrupt, strict=True)
             return codec.decode_flagged(corrupt, strict=False)
 
-        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_backends(run)
+        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_paths(run)
         assert flags_ref == flags_vec
         assert 0 in flags_ref
         # Flagged columns zero-fill; clean columns survive exactly.
@@ -212,7 +183,7 @@ class TestMSRCorruption:
                 codec.decode(truncated, strict=True)
             return codec.decode_flagged(truncated, strict=False)
 
-        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_backends(run)
+        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_paths(run)
         assert np.array_equal(vals_ref, vals_vec)
         assert flags_ref == flags_vec == ()
         # The head of the stream survives; only the lost tail zero-fills.
@@ -228,7 +199,7 @@ class TestMSRCorruption:
                 encoded, strict=False, suspect_bits=((0, 4),)
             )
 
-        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_backends(run)
+        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_paths(run)
         assert flags_ref == flags_vec
         assert 0 in flags_ref
         assert np.array_equal(vals_ref, vals_vec)
@@ -256,13 +227,13 @@ class TestMSRValidation:
 
     def test_empty_stream(self):
         codec = MSRCodec(8, 4, 8)
-        ref, vec = both_backends(
+        ref, vec = both_paths(
             lambda: codec.encode(np.array([], dtype=np.int64))
         )
         assert ref.data == vec.data == b""
         assert ref.bits == 0
         assert codec.coverage(np.array([], dtype=np.int64)) == 1.0
-        dec_ref, dec_vec = both_backends(lambda: codec.decode(ref))
+        dec_ref, dec_vec = both_paths(lambda: codec.decode(ref))
         assert dec_ref.size == dec_vec.size == 0
 
 
@@ -275,9 +246,8 @@ class TestPerCodecStats:
         activations = np.arange(32, dtype=np.int64)
         msr = MSRCodec(8, 4, 8)
         group = GroupCodec(group_size=16, signed=True)
-        with backend("vectorized"):
-            msr.decode(msr.encode(weights))
-            group.decode(group.encode(activations))
+        msr.decode(msr.encode(weights))
+        group.decode(group.encode(activations))
         stats = codec_stats()
         assert stats.per_codec["weight"]["encodes"] == 1
         assert stats.per_codec["weight"]["decodes"] == 1
@@ -291,8 +261,7 @@ class TestPerCodecStats:
     def test_snapshot_is_isolated_and_reset_clears(self):
         reset_codec_stats()
         msr = MSRCodec(8, 4, 8)
-        with backend("vectorized"):
-            msr.encode(np.arange(-8, 8, dtype=np.int64))
+        msr.encode(np.arange(-8, 8, dtype=np.int64))
         snapshot = codec_stats()
         snapshot.per_codec["weight"]["encodes"] = 999
         assert codec_stats().per_codec["weight"]["encodes"] == 1
