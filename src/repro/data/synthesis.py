@@ -18,6 +18,7 @@ description of "nature, city and texture scenes".
 from __future__ import annotations
 
 import bisect
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,30 +72,50 @@ PROFILES: dict[str, ImageProfile] = {
 }
 
 
-def _power_law_cloud(rng: np.random.Generator, h: int, w: int, beta: float = 2.0) -> np.ndarray:
-    """Random field with an isotropic 1/f^beta amplitude spectrum in [0,1]."""
+def _cloud_phase(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
+    """The random draw of a 1/f^beta cloud: one phase per half-spectrum bin."""
+    return rng.uniform(0.0, 2.0 * np.pi, (h, w // 2 + 1))
+
+
+def _amplitude(h: int, w: int, beta: float) -> np.ndarray:
+    """Isotropic 1/f^beta amplitude over the half spectrum of an (h, w) field."""
     fy = np.fft.fftfreq(h)[:, None]
     fx = np.fft.rfftfreq(w)[None, :]
     radius = np.sqrt(fy * fy + fx * fx)
     radius[0, 0] = 1.0  # keep DC finite; we normalize afterwards anyway
-    amplitude = radius ** (-beta / 2.0)
-    phase = rng.uniform(0.0, 2.0 * np.pi, amplitude.shape)
-    spectrum = amplitude * np.exp(1j * phase)
+    return radius ** (-beta / 2.0)
+
+
+def _spectrum(phase: np.ndarray, amplitude: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``amplitude * np.exp(1j * phase)``, computed in place in ``out``.
+
+    The costliest step of a cloud, made of ufuncs that release the GIL and
+    allocate nothing, so a worker thread can run it without keeping any
+    memory of its own.
+    """
+    np.multiply(1j, phase, out=out)
+    np.exp(out, out=out)
+    return np.multiply(amplitude, out, out=out)
+
+
+def _cloud_field(spectrum: np.ndarray, h: int, w: int) -> np.ndarray:
+    """A cloud's field from its spectrum, normalized to [0,1]."""
     field = np.fft.irfft2(spectrum, s=(h, w))
     lo, hi = field.min(), field.max()
     if hi - lo < 1e-12:
         return np.zeros((h, w))
-    return (field - lo) / (hi - lo)
+    field -= lo
+    field /= hi - lo
+    return field
 
 
-def _piecewise_regions(rng: np.random.Generator, h: int, w: int, levels: int = 7) -> np.ndarray:
+def _piecewise_regions(base: np.ndarray, levels: int = 7) -> np.ndarray:
     """Piecewise-constant field: a smooth cloud quantized to a few levels.
 
     The level sets of a smooth random field give organically shaped regions
     (like objects / sky / ground) with perfectly flat interiors and sharp
     boundaries.
     """
-    base = _power_law_cloud(rng, h, w, beta=2.5)
     quantized = np.floor(base * levels) / max(levels - 1, 1)
     return np.clip(quantized, 0.0, 1.0)
 
@@ -113,8 +134,13 @@ def _geometric_shapes(rng: np.random.Generator, h: int, w: int, count: int) -> n
         else:
             r = rng.uniform(0.02, 0.15) * min(h, w)
             cy, cx = rng.uniform(0, h), rng.uniform(0, w)
-            yy, xx = np.ogrid[:h, :w]
-            canvas[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = value
+            # Test only the disc's bounding box, padded by a pixel so that
+            # rounding in the distance test cannot reach past it.
+            y0, y1 = max(int(cy - r) - 1, 0), min(int(cy + r) + 2, h)
+            x0, x1 = max(int(cx - r) - 1, 0), min(int(cx + r) + 2, w)
+            yy, xx = np.ogrid[y0:y1, x0:x1]
+            box = canvas[y0:y1, x0:x1]
+            box[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = value
     return canvas
 
 
@@ -130,6 +156,12 @@ def synthesize_image(
     Channels share a common luminance structure with small chroma
     perturbations, matching the strong cross-channel correlation of RGB
     photographs.
+
+    Every random draw happens in the calling thread, in a fixed order
+    (luma cloud, regions, shapes, detail, chroma clouds, noise).  The
+    cloud spectra are built on a worker thread; a spectrum is a pure
+    function of its drawn phases, so the image does not depend on when
+    the worker runs.
     """
     check_positive("height", height)
     check_positive("width", width)
@@ -144,30 +176,53 @@ def synthesize_image(
 
     megapixels = height * width / 1e6
     shape_count = max(1, int(round(profile.shapes * max(megapixels, 0.05))))
+    amplitudes = {beta: _amplitude(height, width, beta) for beta in (2.0, 2.5)}
 
-    luma = profile.cloud * _power_law_cloud(rng, height, width)
-    luma = luma + profile.regions * _piecewise_regions(rng, height, width)
-    luma = luma + _geometric_shapes(rng, height, width, shape_count)
-    if profile.detail > 0:
-        luma = luma + profile.detail * rng.standard_normal((height, width))
+    # The spectra are built on a worker thread, into buffers allocated
+    # here, while this thread rasterizes the shapes, draws the detail noise
+    # and runs the inverse FFTs and the blur.
+    with ThreadPoolExecutor(1) as worker:
 
-    sigma = profile.smoothness * height / 1080.0
-    if sigma > 0.05:
-        luma = ndimage.gaussian_filter(luma, sigma=sigma)
+        def spectrum(beta: float):
+            """Draw a cloud's phases now; the returned call yields its spectrum."""
+            phase = _cloud_phase(rng, height, width)
+            buffer = np.empty(phase.shape, np.complex128)
+            return worker.submit(_spectrum, phase, amplitudes[beta], buffer).result
 
-    lo, hi = luma.min(), luma.max()
-    luma = (luma - lo) / max(hi - lo, 1e-12)
+        cloud = spectrum(2.0)
+        regions = spectrum(2.5)
+        shapes = _geometric_shapes(rng, height, width, shape_count)
+        detail = rng.standard_normal((height, width)) if profile.detail > 0 else None
+        chroma = [spectrum(2.5) for _ in range(channels)]
 
-    planes = []
-    for _ in range(channels):
-        chroma = 0.12 * _power_law_cloud(rng, height, width, beta=2.5) - 0.06
-        planes.append(luma + chroma)
-    image = np.stack(planes, axis=0)
+        # Each spectrum is released once its field is added in (an HD
+        # frame's take 16.6 MB apiece), hence the dels and the pops.
+        luma = profile.cloud * _cloud_field(cloud(), height, width)
+        luma += profile.regions * _piecewise_regions(_cloud_field(regions(), height, width))
+        luma += shapes
+        del cloud, regions, shapes
+        if detail is not None:
+            luma += profile.detail * detail
+            del detail
+
+        sigma = profile.smoothness * height / 1080.0
+        if sigma > 0.05:
+            luma = ndimage.gaussian_filter(luma, sigma=sigma)
+
+        lo, hi = luma.min(), luma.max()
+        luma -= lo
+        luma /= max(hi - lo, 1e-12)
+
+        image = np.empty((channels, height, width))
+        for plane in image:
+            np.multiply(_cloud_field(chroma.pop(0)(), height, width), 0.12, out=plane)
+            plane -= 0.06
+            plane += luma
 
     if profile.noise_sigma > 0:
-        image = image + rng.normal(0.0, profile.noise_sigma, image.shape)
+        image += rng.normal(0.0, profile.noise_sigma, image.shape)
 
-    return np.clip(image, 0.0, 1.0)
+    return np.clip(image, 0.0, 1.0, out=image)
 
 
 # ---- input drift schedules (the calibration loop's disturbance) ---------

@@ -175,16 +175,20 @@ class Conv2d(Layer):
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         """Fit bias on first sight (if requested) and track output range."""
+        preact = F.conv2d_float(
+            x, self.weights, None, self.stride, self.padding, self.dilation
+        )
         if not self._bias_fitted:
-            preact = F.conv2d_float(
-                x, self.weights, None, self.stride, self.padding, self.dilation
-            )
             # Per-channel bias placing the sparsity_target quantile at zero:
             # after ReLU roughly that fraction of outputs becomes zero.
             q = np.quantile(preact, self.sparsity_target, axis=(1, 2))
             self.bias = -q
             self._bias_fitted = True
-        out = self.forward_float(x)
+        # conv2d_float adds the bias after the product, so this is
+        # forward_float(x), computed from the unbiased preactivation.
+        out = preact + self.bias.reshape(-1, 1, 1)
+        if self.relu:
+            out = np.maximum(out, 0.0)
         preact_max = float(np.max(np.abs(out))) if out.size else 0.0
         self._calib_max_abs = max(self._calib_max_abs, preact_max)
         return out

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data import dataset
+from repro.models.inputs import adapt_input
+from repro.models.registry import CI_MODELS, build_model
 from repro.models.weights import conv, synth_filter_bank
+from repro.nn import functional as F
 from repro.nn.fixed_point import INPUT_SCALE, quantize
 from repro.nn.layers import (
     AppendConstantChannels,
@@ -244,3 +248,49 @@ class TestSynthFilterBank:
             return float((d**2).mean() / (bank**2).mean())
 
         assert highfreq_energy(smooth) < highfreq_energy(rough)
+
+
+def _calibrate_two_convolutions(self, x):
+    """``Conv2d.calibrate`` as it was: fit the bias, then convolve again."""
+    if not self._bias_fitted:
+        preact = F.conv2d_float(x, self.weights, None, self.stride, self.padding, self.dilation)
+        q = np.quantile(preact, self.sparsity_target, axis=(1, 2))
+        self.bias = -q
+        self._bias_fitted = True
+    out = self.forward_float(x)
+    preact_max = float(np.max(np.abs(out))) if out.size else 0.0
+    self._calib_max_abs = max(self._calib_max_abs, preact_max)
+    return out
+
+
+class TestCalibrateConvolvesOnce:
+    """Bias fitting reuses its preactivation instead of convolving twice."""
+
+    @pytest.mark.parametrize("name", list(CI_MODELS))
+    def test_one_convolution_per_layer_and_image(self, name, monkeypatch):
+        spec = CI_MODELS[name]
+        crops = dataset("Kodak24").crops(32, 2)
+        images = [adapt_input(spec.input_adapter, crop) for crop in crops]
+
+        reference = build_model(name)
+        with monkeypatch.context() as patch:
+            patch.setattr(Conv2d, "calibrate", _calibrate_two_convolutions)
+            reference.calibrate(images)
+
+        calls = []
+        conv2d_float = F.conv2d_float
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return conv2d_float(*args, **kwargs)
+
+        net = build_model(name)
+        monkeypatch.setattr(F, "conv2d_float", counting)
+        net.calibrate(images)
+        assert len(calls) == len(net.conv_layers) * len(images)
+
+        assert len(net.conv_layers) == len(reference.conv_layers)
+        for layer, ref in zip(net.conv_layers, reference.conv_layers):
+            assert layer.bias.tobytes() == ref.bias.tobytes(), layer.name
+            assert layer._calib_max_abs == ref._calib_max_abs, layer.name
+            assert layer.out_scale == ref.out_scale, layer.name
